@@ -16,6 +16,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use gm_bench::ab_interleaved;
 use gm_experiments::ext_gray::nospec_agent;
 use gm_grid::AgentConfig;
 use gridmarket::ChaosConfig;
@@ -38,25 +39,14 @@ fn sample_run_ms(agent: AgentConfig) -> f64 {
     ms
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
     let save = std::env::args().any(|a| a == "--save");
 
-    // Interleave the two configurations so frequency drift and background
-    // noise hit both alike.
-    let mut off = Vec::with_capacity(SAMPLES);
-    let mut armed = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        off.push(sample_run_ms(nospec_agent()));
-        armed.push(sample_run_ms(AgentConfig::default()));
-    }
-    let off_med = median(&mut off);
-    let armed_med = median(&mut armed);
-    let overhead_pct = (armed_med - off_med) / off_med * 100.0;
+    let (off_med, armed_med, overhead_pct) = ab_interleaved(
+        SAMPLES,
+        || sample_run_ms(nospec_agent()),
+        || sample_run_ms(AgentConfig::default()),
+    );
     let pass = overhead_pct < BUDGET_PCT;
 
     println!(

@@ -15,6 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use gm_bench::ab_interleaved;
 use gm_crypto::Keypair;
 use gm_telemetry::Registry;
 use gm_tycoon::{
@@ -62,25 +63,14 @@ fn sample_request_us(net: NetConfig) -> f64 {
     us
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
     let save = std::env::args().any(|a| a == "--save");
 
-    // Interleave the two configurations so frequency drift and background
-    // noise hit both alike.
-    let mut bare = Vec::with_capacity(SAMPLES);
-    let mut armed = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        bare.push(sample_request_us(NetConfig::default()));
-        armed.push(sample_request_us(armed_config()));
-    }
-    let bare_med = median(&mut bare);
-    let armed_med = median(&mut armed);
-    let overhead_pct = (armed_med - bare_med) / bare_med * 100.0;
+    let (bare_med, armed_med, overhead_pct) = ab_interleaved(
+        SAMPLES,
+        || sample_request_us(NetConfig::default()),
+        || sample_request_us(armed_config()),
+    );
     let pass = overhead_pct < BUDGET_PCT;
 
     println!(

@@ -20,6 +20,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use gm_bench::median;
 use gm_crypto::Keypair;
 use gm_des::SimTime;
 use gm_tycoon::{Credits, HostId, HostSpec, Market, UserId};
@@ -78,11 +79,6 @@ fn build_market(hosts: u32) -> (Market, f64) {
         }
     }
     (market, t0.elapsed().as_secs_f64())
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// Median per-tick µs over `SAMPLES` timing windows of `ticks` ticks.

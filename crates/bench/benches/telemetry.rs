@@ -14,6 +14,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use gm_bench::ab_interleaved;
 use gm_crypto::Keypair;
 use gm_des::SimTime;
 use gm_telemetry::{Registry, WallClock};
@@ -74,25 +75,11 @@ fn sample_tick_us(with_telemetry: bool) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / f64::from(TICKS_PER_SAMPLE)
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
     let save = std::env::args().any(|a| a == "--save");
 
-    // Interleave the two configurations so frequency drift and background
-    // noise hit both alike.
-    let mut bare = Vec::with_capacity(SAMPLES);
-    let mut instrumented = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        bare.push(sample_tick_us(false));
-        instrumented.push(sample_tick_us(true));
-    }
-    let bare_med = median(&mut bare);
-    let instr_med = median(&mut instrumented);
-    let overhead_pct = (instr_med - bare_med) / bare_med * 100.0;
+    let (bare_med, instr_med, overhead_pct) =
+        ab_interleaved(SAMPLES, || sample_tick_us(false), || sample_tick_us(true));
     let pass = overhead_pct < BUDGET_PCT;
 
     println!(

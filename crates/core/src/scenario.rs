@@ -481,9 +481,11 @@ impl ScenarioResult {
     }
 
     /// Money conservation invariant (minted == sum of balances + escrows
-    /// returns to balances at settlement).
+    /// returns to balances at settlement). Exact: both totals are integer
+    /// micro-credits, and equal integers convert to equal `f64`s, so any
+    /// tolerance would hide a leak (`80.000001 − 80.0 < 1e-6`).
     pub fn money_conserved(&self) -> bool {
-        (self.total_money - self.total_minted).abs() < 1e-6
+        self.total_money == self.total_minted
     }
 }
 

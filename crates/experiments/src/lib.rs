@@ -39,6 +39,7 @@ pub mod ext_scaling;
 pub mod ext_sweep;
 pub mod ext_vcg;
 pub mod ext_volatility;
+pub mod matrix;
 pub mod mc;
 pub mod fig3;
 pub mod fig4;

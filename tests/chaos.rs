@@ -492,3 +492,19 @@ fn bank_restart_mid_run_recovers_ledger_and_conserves_money() {
     assert_eq!(r.metrics.counters["ledger.recoveries"], 1);
     assert_eq!(r.metrics.counters["ledger.audit_failures"], 0);
 }
+
+#[test]
+fn conservation_check_catches_a_one_micro_credit_leak() {
+    // Credits are integer micro-units, so conserved books compare exactly
+    // equal. One micro-credit on an 80-credit world is smaller than a
+    // 1e-6 tolerance once converted: 80.000001 − 80.0 = 9.99999997e-7.
+    let mut r = table1_with_crashes(2006);
+    assert!(r.money_conserved());
+    r.total_minted = Credits::from_whole(80).as_f64();
+    r.total_money = Credits::from_micros(80_000_001).as_f64();
+    assert!((r.total_money - r.total_minted).abs() < 1e-6);
+    assert!(
+        !r.money_conserved(),
+        "a one-micro-credit leak must fail the conservation check"
+    );
+}
