@@ -1,5 +1,5 @@
 //! The paper's pilot application end-to-end: a proteome-wide sliding-
-//! window similarity search (§5.1) — computed for real on a work-stealing
+//! window similarity search (§5.1) — computed for real on the `gm-exec`
 //! thread pool — plus the grid-market simulation of the same workload at
 //! testbed scale.
 //!
