@@ -1,10 +1,12 @@
 # Task runner for the gridmarket reproduction. Each recipe is plain
 # shell, so the commands also work copy-pasted without `just`.
 
-# Tier-1 verification: build, tests, and lint-as-error.
+# Tier-1 verification: build, tests (the root suite, then every crate's
+# unit and integration tests), and lint-as-error.
 verify:
     cargo build --release
     cargo test -q
+    cargo test --workspace -q
     cargo clippy --workspace --all-targets -- -D warnings
 
 # Fast feedback loop.
