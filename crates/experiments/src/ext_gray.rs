@@ -186,17 +186,25 @@ pub fn gray_matrix(policies: &[&'static str], scenarios: &[&'static str]) -> Mat
             )
         },
         render: |c| {
-            let m = |name: &str| c.report.metric(name).map(|s| s.mean).unwrap_or(f64::NAN);
+            // A metric the row does not emit (no bank, no re-dispatch)
+            // renders as `-`, right-aligned to the column.
+            let m = |name: &str, width: usize, fmt: fn(f64) -> String| {
+                let text = c
+                    .report
+                    .metric(name)
+                    .map_or_else(|| "-".to_owned(), |s| fmt(s.mean));
+                format!("{text:>width$}")
+            };
             format!(
-                "{:<14} {:<10} {:>7.3} {:>8.3} {:>9.2} {:>9.3} {:>10.2} {:>9.2e}\n{}",
+                "{:<14} {:<10} {} {} {} {} {} {}\n{}",
                 c.row,
                 c.col,
-                m("deadline_miss_rate"),
-                m("ontime_miss_rate"),
-                m("welfare"),
-                m("makespan_hours"),
-                m("redispatched"),
-                m("conservation_residual"),
+                m("deadline_miss_rate", 7, |v| format!("{v:.3}")),
+                m("ontime_miss_rate", 8, |v| format!("{v:.3}")),
+                m("welfare", 9, |v| format!("{v:.2}")),
+                m("makespan_hours", 9, |v| format!("{v:.3}")),
+                m("redispatched", 10, |v| format!("{v:.2}")),
+                m("conservation_residual", 9, |v| format!("{v:.2e}")),
                 c.quarantined()
             )
         },
