@@ -8,7 +8,7 @@ use gm_numeric::norm_quantile;
 use gm_numeric::spline::smoothing_spline;
 use gm_numeric::toeplitz::yule_walker;
 use gm_predict::SlotTable;
-use gm_tycoon::{best_response, Auctioneer, Credits, HostId, HostQuote, HostSpec, UserId};
+use gm_tycoon::{best_response, Auctioneer, Bank, Credits, HostId, HostQuote, HostSpec, UserId};
 use std::hint::black_box;
 
 fn bench_best_response(h: &Harness) {
@@ -48,6 +48,16 @@ fn bench_crypto(h: &Harness) {
     h.bench("schnorr_sign", || keys.sign(msg));
     let sig = keys.sign(msg);
     h.bench("schnorr_verify", || keys.public.verify(msg, &sig));
+    // The verify the bank runs on replay, receipts and audits: through
+    // the comb table cached for its own key.
+    let mut bank = Bank::new(b"bench-bank");
+    let payer = bank.open_account(keys.public, "payer");
+    let payee = bank.open_account(keys.public, "payee");
+    bank.mint(payer, Credits::from_whole(100)).expect("mint");
+    let receipt = bank
+        .transfer(payer, payee, Credits::from_whole(1))
+        .expect("transfer");
+    h.bench("schnorr_verify_bank", || bank.verify_receipt(&receipt));
 }
 
 fn bench_numeric(h: &Harness) {

@@ -4,32 +4,48 @@ use crate::sha256::{sha256, Sha256};
 
 const BLOCK: usize = 64;
 
+/// An HMAC-SHA256 key, absorbed once: the SHA-256 states after the
+/// `key ⊕ ipad` and `key ⊕ opad` blocks. Each MAC under it skips those
+/// two compressions.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Absorb `key` (keys longer than the block size are hashed first).
+    pub(crate) fn new(key: &[u8]) -> HmacKey {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let midstate = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&k.map(|b| b ^ pad));
+            h.midstate()
+        };
+        HmacKey {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
+        }
+    }
+
+    /// `HMAC-SHA256(key, message)`.
+    pub(crate) fn mac(&self, message: &[u8]) -> [u8; 32] {
+        let mut inner = Sha256::resume(self.inner);
+        inner.update(message);
+        let mut outer = Sha256::resume(self.outer);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// Compute `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    // Keys longer than the block size are hashed first.
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        k[..32].copy_from_slice(&sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0u8; BLOCK];
-    let mut opad = [0u8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] = k[i] ^ 0x36;
-        opad[i] = k[i] ^ 0x5c;
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time-ish comparison of two MACs. (Best effort; good enough for

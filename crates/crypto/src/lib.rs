@@ -8,9 +8,21 @@
 //! * [`sha256()`] / [`Sha256`] — a from-scratch FIPS 180-4 SHA-256 with the
 //!   standard test vectors.
 //! * [`hmac_sha256`] — RFC 2104 HMAC over it, checked against RFC 4231.
+//!   A secret key absorbs its nonce HMAC key once, as two SHA-256 midstates.
 //! * [`sig`] — a Schnorr signature over the multiplicative group of the
 //!   Mersenne field `GF(2¹²⁷ − 1)` with deterministic (RFC 6979-flavoured)
 //!   nonces.
+//!
+//! ## Why the bank caches a table for its own key
+//!
+//! Verifying `(e, s)` computes `g^s·y^e`. `g^s` always comes from the
+//! generator's compile-time fixed-base comb, but `y^e` for an
+//! arbitrary key needs ~126 squarings. The bank checks only its own
+//! signatures — every journaled transfer on recovery, receipts on
+//! redemption, the auditor's spot checks — thousands of times per key, so
+//! it builds one 8 KiB comb for `y` up front ([`PreparedKey`], ~3 µs) and
+//! each of its verifies becomes two comb lookups, about half the cost of
+//! [`PublicKey::verify`].
 //!
 //! ## ⚠ Simulation-grade, not production crypto
 //!
@@ -29,4 +41,4 @@ pub mod sig;
 
 pub use hmac::hmac_sha256;
 pub use sha256::{sha256, Sha256};
-pub use sig::{Keypair, PublicKey, SecretKey, Signature};
+pub use sig::{Keypair, PreparedKey, PublicKey, SecretKey, Signature};

@@ -64,11 +64,8 @@ impl Sha256 {
             }
         }
         // Whole blocks straight from input.
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            self.compress(block);
             data = rest;
         }
         // Stash the tail.
@@ -106,56 +103,82 @@ impl Sha256 {
         self.total_len = saved;
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+    /// The chaining state after a whole number of blocks (HMAC keys
+    /// cache the states after their one pad block).
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buffer_len, 0, "midstate taken mid-block");
+        self.state
+    }
+
+    /// Resume from [`Sha256::midstate`] taken after exactly one block.
+    pub(crate) fn resume(state: [u32; 8]) -> Sha256 {
+        Sha256 {
+            state,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: 64,
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+    }
+
+    /// One compression, in four passes of 16 rounds. The message schedule
+    /// is a rolling 16-word window: in pass `p > 0`, round `j` replaces
+    /// `w[j]` (word `16(p − 1) + j`) by word `16p + j`. Each round names
+    /// the working variables in rotated order instead of shifting them.
+    fn compress(&mut self, block: &[u8; 64]) {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
 
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+             $pass:expr, $j:expr) => {
+                if $pass > 0 {
+                    let w15 = w[($j + 1) & 15];
+                    let w2 = w[($j + 14) & 15];
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[$j] = w[$j]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[($j + 9) & 15])
+                        .wrapping_add(s1);
+                }
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let ch = $g ^ ($e & ($f ^ $g));
+                let temp1 = $h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[16 * $pass + $j])
+                    .wrapping_add(w[$j]);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                let maj = ($a & $b) | ($c & ($a | $b));
+                $d = $d.wrapping_add(temp1);
+                $h = temp1.wrapping_add(s0.wrapping_add(maj));
+            };
+        }
+        for pass in 0..4 {
+            round!(a, b, c, d, e, f, g, h, pass, 0);
+            round!(h, a, b, c, d, e, f, g, pass, 1);
+            round!(g, h, a, b, c, d, e, f, pass, 2);
+            round!(f, g, h, a, b, c, d, e, pass, 3);
+            round!(e, f, g, h, a, b, c, d, pass, 4);
+            round!(d, e, f, g, h, a, b, c, pass, 5);
+            round!(c, d, e, f, g, h, a, b, pass, 6);
+            round!(b, c, d, e, f, g, h, a, pass, 7);
+            round!(a, b, c, d, e, f, g, h, pass, 8);
+            round!(h, a, b, c, d, e, f, g, pass, 9);
+            round!(g, h, a, b, c, d, e, f, pass, 10);
+            round!(f, g, h, a, b, c, d, e, pass, 11);
+            round!(e, f, g, h, a, b, c, d, pass, 12);
+            round!(d, e, f, g, h, a, b, c, pass, 13);
+            round!(c, d, e, f, g, h, a, b, pass, 14);
+            round!(b, c, d, e, f, g, h, a, pass, 15);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use gm_crypto::{sha256, Keypair, PublicKey, Signature};
+use gm_crypto::{sha256, Keypair, PreparedKey, PublicKey, Signature};
 use gm_ledger::SharedJournal;
 
 use crate::ledger::{BankEvent, BankSnapshot, RecoverError, RecoveryReport, SnapshotAccount};
@@ -126,6 +126,9 @@ impl Receipt {
 /// The central bank service.
 pub struct Bank {
     keypair: Keypair,
+    /// Comb table for the bank's own public key: replay, receipt checks
+    /// and audits verify only the bank's signatures, many times over.
+    verifier: PreparedKey,
     accounts: HashMap<AccountId, Account>,
     next_account: u64,
     next_transfer: u64,
@@ -148,8 +151,10 @@ pub struct Bank {
 impl Bank {
     /// New bank with a signing key derived from `seed`.
     pub fn new(seed: &[u8]) -> Bank {
+        let keypair = Keypair::from_seed(seed);
         Bank {
-            keypair: Keypair::from_seed(seed),
+            verifier: PreparedKey::new(keypair.public),
+            keypair,
             accounts: HashMap::new(),
             next_account: 0,
             next_transfer: 0,
@@ -327,7 +332,7 @@ impl Bank {
                 signature,
             } => {
                 let msg = Receipt::message_bytes(id, AccountId(from), AccountId(to), amount);
-                if !self.keypair.public.verify(&msg, &signature) {
+                if !self.verifier.verify(&msg, &signature) {
                     return Err(RecoverError::SignatureMismatch { transfer_id: id });
                 }
                 if !self.accounts.contains_key(&AccountId(from))
@@ -541,7 +546,12 @@ impl Bank {
     /// Verify that a receipt was signed by this bank and is internally
     /// consistent.
     pub fn verify_receipt(&self, r: &Receipt) -> bool {
-        self.keypair.public.verify(&r.signed_bytes(), &r.signature)
+        self.verifier.verify(&r.signed_bytes(), &r.signature)
+    }
+
+    /// The bank's receipt-verification key with its cached comb table.
+    pub(crate) fn verifier(&self) -> &PreparedKey {
+        &self.verifier
     }
 
     /// Sum of all balances (should always equal total minted money).

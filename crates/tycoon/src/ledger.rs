@@ -441,35 +441,34 @@ impl ConservationAuditor {
         if replay.corrupt_records > 0 {
             report.journal_ok = false;
         }
-        let transfers: Vec<BankEvent> = replay
+        // Spot-check the last `spot_check` transfers: walk back from the
+        // newest record and decode only until that many are found.
+        let key = bank.verifier();
+        let recent = replay
             .records
             .iter()
-            .filter_map(|p| BankEvent::decode(p))
-            .filter(|ev| matches!(ev, BankEvent::Transfer { .. }))
-            .collect();
-        let key = bank.public_key();
-        let start = transfers.len().saturating_sub(self.spot_check);
-        for ev in &transfers[start..] {
-            let BankEvent::Transfer {
-                id,
-                from,
-                to,
-                amount,
-                signature,
-            } = ev
-            else {
-                unreachable!("filtered to transfers");
-            };
+            .rev()
+            .filter_map(|p| match BankEvent::decode(p)? {
+                BankEvent::Transfer {
+                    id,
+                    from,
+                    to,
+                    amount,
+                    signature,
+                } => Some((id, AccountId(from), AccountId(to), amount, signature)),
+                _ => None,
+            })
+            .take(self.spot_check);
+        for (id, from, to, amount, signature) in recent {
             report.transfers_checked += 1;
-            let msg = Receipt::message_bytes(*id, AccountId(*from), AccountId(*to), *amount);
-            if !key.verify(&msg, signature) {
+            let msg = Receipt::message_bytes(id, from, to, amount);
+            if !key.verify(&msg, &signature) {
                 report.signature_failures += 1;
             }
             // A receipt must not verify against any *other* transfer id:
             // forge the id and demand failure.
-            let forged =
-                Receipt::message_bytes(id.wrapping_add(1), AccountId(*from), AccountId(*to), *amount);
-            if key.verify(&forged, signature) {
+            let forged = Receipt::message_bytes(id.wrapping_add(1), from, to, amount);
+            if key.verify(&forged, &signature) {
                 report.forgery_rejected = false;
             }
         }
@@ -633,5 +632,72 @@ mod tests {
         let report = auditor.audit(&bank, Some(&forged_journal));
         assert!(!report.ok());
         assert_eq!(report.signature_failures, 1);
+    }
+
+    #[test]
+    fn auditor_checks_exactly_the_last_spot_check_transfers() {
+        let mut bank = Bank::new(b"audit-window");
+        let journal = SharedJournal::new();
+        bank.attach_ledger(journal.clone());
+        let a = bank.open_account(key(b"a"), "a");
+        let b = bank.open_account(key(b"b"), "b");
+        let mut ids = Vec::new();
+        for _ in 0..10 {
+            bank.mint(a, Credits::from_whole(5)).unwrap();
+            ids.push(
+                bank.transfer(a, b, Credits::from_whole(1))
+                    .unwrap()
+                    .transfer_id,
+            );
+        }
+        // Non-transfer records after the newest transfer are skipped.
+        bank.record_token_spend(ids[0]);
+        bank.mint(a, Credits::from_whole(1)).unwrap();
+
+        // Copy of the journal with the listed transfers' amounts rewritten
+        // under their old signatures.
+        let tampered = |forge: &[u64]| {
+            let out = SharedJournal::new();
+            for payload in &journal.replay().unwrap().records {
+                match BankEvent::decode(payload) {
+                    Some(BankEvent::Transfer {
+                        id,
+                        from,
+                        to,
+                        signature,
+                        ..
+                    }) if forge.contains(&id) => out.append(
+                        &BankEvent::Transfer {
+                            id,
+                            from,
+                            to,
+                            amount: Credits::from_whole(999),
+                            signature,
+                        }
+                        .encode(),
+                    ),
+                    _ => out.append(payload),
+                };
+            }
+            out
+        };
+        let auditor = ConservationAuditor { spot_check: 4 };
+        let (older, window) = ids.split_at(ids.len() - 4);
+        let report = auditor.audit(&bank, Some(&tampered(older)));
+        assert!(
+            report.ok(),
+            "transfers before the window are not checked: {report:?}"
+        );
+        assert_eq!(report.transfers_checked, 4);
+        let report = auditor.audit(&bank, Some(&tampered(window)));
+        assert_eq!(
+            report.signature_failures, 4,
+            "every transfer in the window is checked"
+        );
+        let report = auditor.audit(&bank, Some(&tampered(&window[..1])));
+        assert_eq!(
+            (report.transfers_checked, report.signature_failures),
+            (4, 1)
+        );
     }
 }
